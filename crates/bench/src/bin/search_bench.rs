@@ -58,7 +58,7 @@ use ham_core::resilience::{
     DegradationController, DegradationPolicy, ResilientOptions, Scrubber,
 };
 use ham_core::shard::{OnlineUpdater, ShardedMemory, VersionedMemory};
-use ham_workloads::{synth, LangidWorkload, Workload};
+use ham_workloads::{strategy_label, synth, LangidWorkload, Workload};
 use hdc::prelude::*;
 use hdc::{
     active_backend, enabled_backends, BitSlicedRows, BucketIndex, IndexBuildOptions, ScanStrategy,
@@ -97,10 +97,11 @@ struct IndexScaling {
     mode: String,
     buckets: usize,
     mean_radius: usize,
-    mean_separation: usize,
-    /// Whether [`hdc::IndexStats::pruning_friendly`] picked the indexed
-    /// walk for `ScanStrategy::Auto` on this shape.
-    auto_picks_index: bool,
+    /// What `ScanStrategy::Auto` resolves to on this shape, and the
+    /// pilot work fraction ([`hdc::IndexStats::pilot_work_frac`]) it
+    /// read.
+    auto_resolves_to: String,
+    pilot_work_frac: f64,
     /// Fraction of probe queries whose winner matched the exact scan
     /// (1.0 by construction for exact and auto modes).
     recall: f64,
@@ -694,7 +695,7 @@ fn main() {
             let index = BucketIndex::build(&packed, backend, IndexBuildOptions::default())
                 .expect("non-empty matrix builds");
             let stats = index.stats();
-            let auto_picks_index = stats.pruning_friendly(dim);
+            let auto_resolves_to = strategy_label(ScanStrategy::Auto.resolve(Some(&index)));
             let nprobe = (index.buckets() / 8).max(1);
             let queries: Vec<Vec<u64>> = if clustered_shape {
                 let sources: Vec<(usize, Hypervector)> =
@@ -810,8 +811,8 @@ fn main() {
                     mode,
                     buckets: index.buckets(),
                     mean_radius: stats.mean_radius,
-                    mean_separation: stats.mean_separation,
-                    auto_picks_index,
+                    auto_resolves_to: auto_resolves_to.clone(),
+                    pilot_work_frac: stats.pilot_work_frac(),
                     recall,
                     rows_scanned_per_query: per_query(counters.rows_scanned),
                     rows_pruned_per_query: per_query(counters.rows_pruned),
@@ -835,8 +836,8 @@ fn main() {
             let shape = if neardup_shape { "neardup" } else { "uniform" };
             // 32 anchors a few percent of D apart (noisy copies of one
             // base), members a small fraction of that separation from
-            // their anchor: tight nearest-bucket spacing keeps the
-            // shape cascade-friendly, never pruning-friendly.
+            // their anchor: tight clusters a few hundred bits apart,
+            // the near-duplicate shape.
             let base = Hypervector::random(dimension, 0x51CE ^ classes as u64);
             let anchors: Vec<Hypervector> = (0..32u64)
                 .map(|i| synth::noisy_copy(&base, dim / 32, 0x6A00 ^ classes as u64 ^ i))
@@ -862,7 +863,7 @@ fn main() {
             let sliced = BitSlicedRows::from_packed(&packed);
             let index = BucketIndex::build(&packed, backend, IndexBuildOptions::default())
                 .expect("non-empty matrix builds");
-            let auto_resolved = ScanStrategy::Auto.resolve_full(Some(&index), Some(&sliced), dim);
+            let auto_resolved = ScanStrategy::Auto.resolve_full(Some(&index), Some(&sliced));
             let queries: Vec<Vec<u64>> = if neardup_shape {
                 let sources: Vec<(usize, Hypervector)> =
                     anchors.iter().cloned().enumerate().collect();

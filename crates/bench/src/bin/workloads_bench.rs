@@ -11,8 +11,8 @@
 //!    rows is the multi-bit story.
 //! 3. **neardup** — planted near-duplicate similarity search scored on
 //!    recall@k, plus a head-to-head `Auto` vs `Direct` timing on the
-//!    same stream pinning that `Auto` resolves to the cascade
-//!    (`cascade_friendly` geometry) and beats the direct scan.
+//!    same stream, with the strategy `Auto` resolved to and the pilot
+//!    work fraction the decision read.
 //!
 //! Every row carries throughput, mean latency, and the aggregated
 //! [`ScanCounters`] (rows scanned / pruned, buckets probed), so scenario
@@ -35,13 +35,12 @@ use serde::Serialize;
 /// The measured `Auto` decision on the near-duplicate stream.
 #[derive(Debug, Serialize)]
 struct AutoVsDirect {
-    /// What `ScanStrategy::Auto` resolved to on this memory ("Cascade").
+    /// What `ScanStrategy::Auto` resolved to on this memory.
     auto_resolves_to: String,
-    /// The index stats the decision read.
-    cascade_friendly: bool,
-    pruning_friendly: bool,
+    /// The pilot work fraction the decision read
+    /// (`IndexStats::pilot_work_frac`), and the index shape behind it.
+    pilot_work_frac: f64,
     mean_radius: usize,
-    mean_separation: usize,
     /// Mean nanoseconds per query over the full stream, per strategy.
     direct_ns_per_query: f64,
     auto_ns_per_query: f64,
@@ -178,8 +177,8 @@ fn main() {
     );
     reports.push(served);
 
-    // The decision under test: on this geometry Auto must resolve to the
-    // cascade and beat the direct scan on the same stream.
+    // The decision under test: what Auto resolved to on this geometry,
+    // and how it times against the direct scan on the same stream.
     let stats = neardup.index_stats();
     let queries: Vec<Hypervector> = neardup
         .queries()
@@ -193,17 +192,19 @@ fn main() {
     let auto_ns = time_searches(neardup.memory(), &queries, passes);
     let auto_vs_direct = AutoVsDirect {
         auto_resolves_to: strategy_label(neardup.memory().resolved_strategy()),
-        cascade_friendly: stats.cascade_friendly(neardup.params().dim),
-        pruning_friendly: stats.pruning_friendly(neardup.params().dim),
+        pilot_work_frac: stats.pilot_work_frac(),
         mean_radius: stats.mean_radius,
-        mean_separation: stats.mean_separation,
         direct_ns_per_query: direct_ns,
         auto_ns_per_query: auto_ns,
         speedup: direct_ns / auto_ns.max(f64::MIN_POSITIVE),
     };
     println!(
-        "neardup auto vs direct: auto={} direct {:.0} ns vs auto {:.0} ns ({:.2}x)",
-        auto_vs_direct.auto_resolves_to, direct_ns, auto_ns, auto_vs_direct.speedup
+        "neardup auto vs direct: auto={} (pilot work {:.3}) direct {:.0} ns vs auto {:.0} ns ({:.2}x)",
+        auto_vs_direct.auto_resolves_to,
+        auto_vs_direct.pilot_work_frac,
+        direct_ns,
+        auto_ns,
+        auto_vs_direct.speedup
     );
 
     let snapshot = Snapshot {

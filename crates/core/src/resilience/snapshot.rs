@@ -326,10 +326,12 @@ fn encode_index_section(index: &hdc::BucketIndex, bytes: &mut Vec<u8>) {
 }
 
 /// Decodes the v2 index section out of `section` (the bytes after the
-/// last row record). `None` on *any* inconsistency — short section,
-/// failed CRC, impossible geometry, nonzero centroid tail bits — since
-/// a best-effort index must never poison an otherwise good load.
-fn decode_index_section(section: &[u8], dim: usize, classes: usize) -> Option<hdc::BucketIndex> {
+/// last row record) over the restored `rows`. `None` on *any*
+/// inconsistency — short section, failed CRC, impossible geometry,
+/// nonzero centroid tail bits — since a best-effort index must never
+/// poison an otherwise good load.
+fn decode_index_section(section: &[u8], rows: &PackedRows) -> Option<hdc::BucketIndex> {
+    let (dim, classes) = (rows.dim(), rows.len());
     if section.len() < INDEX_SECTION_HEAD + 4 {
         return None;
     }
@@ -378,7 +380,14 @@ fn decode_index_section(section: &[u8], dim: usize, classes: usize) -> Option<hd
     let assignments: Vec<u32> = (0..classes)
         .map(|c| le_u32(&section[assign_start + c * 4..]))
         .collect();
-    hdc::BucketIndex::from_parts(centroids, radii, assignments, dirty, hdc::active_backend())
+    hdc::BucketIndex::from_parts(
+        centroids,
+        radii,
+        assignments,
+        dirty,
+        rows,
+        hdc::active_backend(),
+    )
 }
 
 /// Saves a checksummed snapshot of `memory` to `path` atomically: the
@@ -513,7 +522,7 @@ pub fn load_snapshot(path: &Path) -> Result<SnapshotLoad, SnapshotError> {
     if version >= 2 && corrupted.is_empty() {
         if let Some(index) = body
             .get(classes * stride..)
-            .and_then(|section| decode_index_section(section, dim, classes))
+            .and_then(|section| decode_index_section(section, memory.packed_rows()))
         {
             let _ = memory.attach_index(std::sync::Arc::new(index));
         }

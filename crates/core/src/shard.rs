@@ -636,11 +636,9 @@ impl MemoryVersion {
     /// for the unsharded memory, so scatter planning and telemetry
     /// agree with single-threaded serving.
     pub fn resolved_strategy(&self) -> ResolvedScan {
-        self.delta.strategy.resolve_full(
-            self.delta.index.as_deref(),
-            self.delta.sliced.as_deref(),
-            self.delta.dim.get(),
-        )
+        self.delta
+            .strategy
+            .resolve_full(self.delta.index.as_deref(), self.delta.sliced.as_deref())
     }
 
     /// The `Arc`-shared storage chunks, for sharing inspection

@@ -99,7 +99,7 @@ pub struct AssociativeMemory {
     /// half-updated mirror.
     sliced: Option<Arc<BitSlicedRows>>,
     /// How searches traverse `packed`; [`ScanStrategy::Auto`] resolves
-    /// against the index stats on every scan.
+    /// against the index's pilot work on every scan.
     strategy: ScanStrategy,
 }
 
@@ -168,9 +168,9 @@ impl AssociativeMemory {
     }
 
     /// How searches traverse the packed matrix. The default
-    /// [`ScanStrategy::Auto`] resolves against the index stats on every
-    /// scan, so attaching an index is enough to enable pruning when the
-    /// data shape supports it.
+    /// [`ScanStrategy::Auto`] resolves against the index's pilot work
+    /// on every scan, so attaching an index is enough to enable pruning
+    /// when the data shape supports it.
     pub fn scan_strategy(&self) -> ScanStrategy {
         self.strategy
     }
@@ -235,9 +235,9 @@ impl AssociativeMemory {
 
     /// Builds (or rebuilds) the dim-major bit-sliced mirror over the
     /// current rows and attaches it, enabling the
-    /// [`ScanStrategy::BitSliced`] traversal (and letting
-    /// [`ScanStrategy::Auto`] choose it on cascade-friendly geometry at
-    /// scale). Exact search results are unchanged by construction.
+    /// [`ScanStrategy::BitSliced`] traversal ([`ScanStrategy::Auto`]
+    /// never picks it). Exact search results are unchanged by
+    /// construction.
     pub fn build_sliced(&mut self) -> &BitSlicedRows {
         self.sliced = Some(Arc::new(BitSlicedRows::from_packed(&self.packed)));
         self.sliced.as_deref().expect("just attached")
@@ -643,11 +643,8 @@ impl AssociativeMemory {
     /// [`ScanStrategy`] resolves to against its attached index — how
     /// telemetry observes which engine [`ScanStrategy::Auto`] picked.
     pub fn resolved_strategy(&self) -> ResolvedScan {
-        self.strategy.resolve_full(
-            self.index.as_deref(),
-            self.sliced.as_deref(),
-            self.dim.get(),
-        )
+        self.strategy
+            .resolve_full(self.index.as_deref(), self.sliced.as_deref())
     }
 
     fn check_query(&self, query: &Hypervector) -> Result<(), HdcError> {

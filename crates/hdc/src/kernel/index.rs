@@ -24,12 +24,19 @@
 //! distance never exceeds the full-dimension distance, so the
 //! full-dimension radius still dominates `d_M(centroid, row)`.
 //!
+//! The build seeds its medoids farthest-first over a seeded row sample,
+//! so separated clusters each get a bucket, then walks a fixed set of
+//! seeded pilot queries through the exact walk and records their mean
+//! work ([`IndexStats::pilot_work`]) — the measurement
+//! [`ScanStrategy::Auto`] resolves against (DESIGN.md §12).
+//!
 //! An explicit probe mode ([`ScanStrategy::Probe`]) visits only the
 //! `nprobe` buckets closest by centroid distance — approximate, with
 //! recall measured in the bench (`BENCH_search.json` `index_scaling`),
 //! mirroring the paper's sampling knobs.
 //!
 //! [`ScanStrategy::Probe`]: super::ScanStrategy::Probe
+//! [`ScanStrategy::Auto`]: super::ScanStrategy::Auto
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -42,10 +49,27 @@ use super::{splitmix64, DistanceBackend, Min2, PackedRows, RowSource};
 /// reproducible across runs and processes).
 pub const INDEX_SEED: u64 = 0x4841_4D5F_4258_4944;
 
-/// Pairwise centroid distances sampled for
-/// [`IndexStats::mean_separation`] when the full pair count exceeds
-/// this budget.
-const SEPARATION_PAIR_BUDGET: usize = 4096;
+/// Sample rows per bucket the farthest-first seeding scans. A uniform
+/// sample of `8·B` rows misses a given one of `B` equal clusters with
+/// probability ≈ e⁻⁸, so every cluster is in the pool to be seeded.
+const SEED_ROWS_PER_BUCKET: usize = 8;
+
+/// Salt separating the row-sample draws from the tie-break draws of the
+/// same seed.
+const SAMPLE_SALT: u64 = 0x5341_4D50_4C45_0000;
+
+/// Pilot queries the build walks through the exact bucket walk to
+/// measure [`IndexStats::pilot_work`].
+pub const PILOT_QUERIES: usize = 16;
+
+/// Bits flipped in each pilot query relative to the stored row it is
+/// drawn from: a query that lands near the data, as real queries do.
+const PILOT_FLIPS: usize = 8;
+
+/// Seed of the pilot draws. Fixed — not [`IndexBuildOptions::seed`] —
+/// so [`BucketIndex::from_parts`], which never sees the build options,
+/// walks the very same pilots and reaches the same `Auto` decision.
+const PILOT_SEED: u64 = 0x4841_4D5F_5049_4C54;
 
 thread_local! {
     /// Per-thread `(sort key, lower bound, bucket)` scratch for the
@@ -91,9 +115,9 @@ impl ScanCounters {
     }
 }
 
-/// Shape summary of a built [`BucketIndex`] — the signal
-/// [`ScanStrategy::Auto`] reads to decide whether bucket pruning can
-/// win on this data (see [`IndexStats::pruning_friendly`]).
+/// Shape summary of a built [`BucketIndex`], including the measured
+/// pilot work [`ScanStrategy::Auto`] resolves against (see
+/// [`IndexStats::pilot_work_frac`]).
 ///
 /// [`ScanStrategy::Auto`]: super::ScanStrategy::Auto
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -106,27 +130,25 @@ pub struct IndexStats {
     pub mean_radius: usize,
     /// Largest bucket radius.
     pub max_radius: usize,
-    /// Mean pairwise centroid distance (sampled above
-    /// a few thousand pairs; 0 with fewer than two buckets).
-    pub mean_separation: usize,
+    /// Mean distance evaluations — centroids plus member rows — of the
+    /// exact walk over the [`PILOT_QUERIES`] seeded pilot queries
+    /// (stored rows with a few seeded bit flips), rounded up. Measured
+    /// at build and at [`BucketIndex::from_parts`]; incremental
+    /// [`assign_row`](BucketIndex::assign_row) mutations leave it as
+    /// built until the owner rebuilds.
+    pub pilot_work: usize,
 }
 
 impl IndexStats {
-    /// `true` when the radius bound can plausibly prune: buckets are
-    /// separated by clearly more than their diameters. The margin term
-    /// `dim / 16` keeps uniform random rows — where separation and
-    /// 2·radius both sit near `dim / 2` and pruning never fires — on
-    /// the linear-scan side of the rule (decision rule documented in
-    /// DESIGN.md §12).
-    pub fn pruning_friendly(&self, dim: usize) -> bool {
-        self.buckets >= 2 && self.mean_separation >= 2 * self.mean_radius + dim / 16
-    }
-
-    /// `true` for the near-duplicate shape where the PR-5 cascade wins:
-    /// rows so tightly packed (tiny radii) that bucket pruning cannot
-    /// separate them, but a sampled prefilter orders them well.
-    pub fn cascade_friendly(&self, dim: usize) -> bool {
-        !self.pruning_friendly(dim) && self.mean_radius <= dim / 32
+    /// [`pilot_work`](Self::pilot_work) as a fraction of the row count:
+    /// the share of a direct scan's distance work one exact indexed
+    /// query costs. Above 1 the walk does more work than the scan it
+    /// replaces; 1 for an empty index.
+    pub fn pilot_work_frac(&self) -> f64 {
+        match self.rows {
+            0 => 1.0,
+            rows => self.pilot_work as f64 / rows as f64,
+        }
     }
 }
 
@@ -152,7 +174,7 @@ impl Default for IndexBuildOptions {
         IndexBuildOptions {
             buckets: 0,
             seed: INDEX_SEED,
-            refine_passes: 2,
+            refine_passes: 1,
             sample_per_bucket: 32,
         }
     }
@@ -178,8 +200,8 @@ pub struct BucketIndex {
     stats: IndexStats,
 }
 
-/// Integer square root (Newton), for the `B = ⌈√C⌉` default.
-fn isqrt(n: usize) -> usize {
+/// Ceiling integer square root (Newton), the `B = ⌈√C⌉` default.
+fn ceil_sqrt(n: usize) -> usize {
     if n < 2 {
         return n;
     }
@@ -189,7 +211,11 @@ fn isqrt(n: usize) -> usize {
         x = y;
         y = (x + n / x) / 2;
     }
-    x
+    if x * x < n {
+        x + 1
+    } else {
+        x
+    }
 }
 
 /// Nearest centroid of `row` with early abandonment: `(bucket,
@@ -215,11 +241,13 @@ fn nearest(centroids: &PackedRows, backend: &dyn DistanceBackend, row: &[u64]) -
 }
 
 impl BucketIndex {
-    /// Builds an index over `packed`: seeded distinct-medoid
-    /// initialization, `refine_passes` rounds of sampled
-    /// assign-and-rebundle (per-bit majority recentering, the k-medoids
-    /// analogue in Hamming space), then one full assignment pass that
-    /// fixes memberships and radii. Empty buckets are compacted away.
+    /// Builds an index over `packed`: a seeded row sample, farthest-first
+    /// medoids over its first `8·B` rows, `refine_passes` rounds of
+    /// sampled assign-and-rebundle (per-bit majority recentering, the
+    /// k-medoids analogue in Hamming space), then one full assignment
+    /// pass that fixes memberships and radii. Empty buckets are
+    /// compacted away, and the pilot walk fills
+    /// [`IndexStats::pilot_work`].
     ///
     /// Deterministic for a given `(packed, options.seed)` on every
     /// backend (backends are bit-identical). Returns `None` for an
@@ -236,60 +264,57 @@ impl BucketIndex {
         let dim = packed.dim();
         let wpr = packed.words_per_row();
         let target = match options.buckets {
-            0 => isqrt(rows).max(1),
+            0 => ceil_sqrt(rows).max(1),
             b => b,
         }
         .min(rows);
 
-        // Seeded distinct medoids; a deterministic sequential fill
-        // covers pathological collision streaks.
-        let mut taken = vec![false; rows];
-        let mut centroids = PackedRows::with_capacity(dim, target);
-        let mut picked = 0usize;
-        let mut attempt = 0u64;
-        while picked < target && attempt < 8 * rows as u64 + 64 {
-            let cand = (splitmix64(options.seed ^ attempt) % rows as u64) as usize;
-            attempt += 1;
-            if !taken[cand] {
-                taken[cand] = true;
-                centroids.push(packed.row_words(cand));
-                picked += 1;
-            }
-        }
-        for (cand, slot) in taken.iter_mut().enumerate() {
-            if picked == target {
-                break;
-            }
-            if !*slot {
-                *slot = true;
-                centroids.push(packed.row_words(cand));
-                picked += 1;
-            }
-        }
-
-        // Sampled refinement: assign a deterministic row sample, then
-        // recenter every bucket to the per-bit majority of its sample
-        // members (bundling). Seeded tie-break at exact half.
+        // A seeded sample of distinct rows (partial Fisher–Yates). Not a
+        // stride: rows dealt round-robin to clusters would alias with
+        // any fixed step and hide every cluster off the step's residue.
         let want = target
             .saturating_mul(options.sample_per_bucket.max(1))
             .min(rows)
             .max(1);
+        let mut sample: Vec<u32> = (0..rows as u32).collect();
+        for k in 0..want {
+            let pick = k
+                + (splitmix64(options.seed ^ SAMPLE_SALT ^ k as u64) % (rows - k) as u64) as usize;
+            sample.swap(k, pick);
+        }
+        sample.truncate(want);
+
+        // Farthest-first (k-center greedy) medoids over a contiguous copy
+        // of the sample's head: every new medoid is the pool row farthest
+        // from all medoids so far, so separated clusters each get one
+        // before any cluster gets a second.
+        let pool_len = want.min(target.saturating_mul(SEED_ROWS_PER_BUCKET));
+        let mut pool = PackedRows::with_capacity(dim, pool_len);
+        for &row_id in &sample[..pool_len] {
+            pool.push(packed.row_words(row_id as usize));
+        }
+        let mut centroids = farthest_first(&pool, target, backend);
+        let target = centroids.len();
+        sample.sort_unstable();
+
+        // Sampled refinement: assign the sample, then recenter every
+        // bucket to the per-bit majority of its sample members
+        // (bundling). Seeded tie-break at exact half.
         let mut word_buf = vec![0u64; wpr];
         for _ in 0..options.refine_passes {
             let mut counts = vec![0u32; target * dim];
             let mut sizes = vec![0u32; target];
-            for k in 0..want {
-                let row_id = k * rows / want;
-                let row = packed.row_words(row_id);
+            for &row_id in &sample {
+                let row = packed.row_words(row_id as usize);
                 let (bucket, _) = nearest(&centroids, backend, row);
                 sizes[bucket] += 1;
-                let base = bucket * dim;
-                for (w, &word) in row.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let bit = bits.trailing_zeros() as usize;
-                        counts[base + w * 64 + bit] += 1;
-                        bits &= bits - 1;
+                // Branchless per-bit adds over contiguous counters: dense
+                // rows set half their bits, so this beats walking the set
+                // bits one by one.
+                let bucket_counts = &mut counts[bucket * dim..(bucket + 1) * dim];
+                for (lane, &word) in bucket_counts.chunks_mut(64).zip(row) {
+                    for (bit, count) in lane.iter_mut().enumerate() {
+                        *count += ((word >> bit) & 1) as u32;
                     }
                 }
             }
@@ -351,28 +376,32 @@ impl BucketIndex {
             radii = kept_radii;
         }
 
-        let stats = compute_stats(&centroids, &radii, rows, backend, options.seed);
-        Some(BucketIndex {
-            centroids,
-            radii,
-            members,
-            assignments,
-            dirty: 0,
-            stats,
-        })
+        Some(
+            BucketIndex {
+                centroids,
+                radii,
+                members,
+                assignments,
+                dirty: 0,
+                stats: IndexStats::default(),
+            }
+            .with_stats(packed, backend),
+        )
     }
 
-    /// Reassembles an index from its serialized parts (the snapshot
-    /// loader's entry point). Shape is validated — bucket/radius count
-    /// match, every assignment in range, radii within `dim` — and
-    /// member lists and stats are recomputed; `None` means the parts
-    /// are inconsistent and the caller should treat the memory as
-    /// unindexed.
+    /// Reassembles an index over `packed` from its serialized parts (the
+    /// snapshot loader's entry point). Shape is validated — bucket/radius
+    /// count match, one assignment per row of `packed`, every assignment
+    /// in range, radii within `dim`, same row width — and member lists
+    /// and stats are recomputed, the pilot walk included, so the `Auto`
+    /// decision matches the one a fresh build reaches on the same parts. `None` means the parts are
+    /// inconsistent and the caller should treat the memory as unindexed.
     pub fn from_parts(
         centroids: PackedRows,
         radii: Vec<usize>,
         assignments: Vec<u32>,
         dirty: usize,
+        packed: &dyn RowSource,
         backend: &dyn DistanceBackend,
     ) -> Option<BucketIndex> {
         let buckets = centroids.len();
@@ -385,6 +414,10 @@ impl BucketIndex {
         if radii.iter().any(|&r| r > centroids.dim()) {
             return None;
         }
+        if assignments.len() != packed.len() || centroids.words_per_row() != packed.words_per_row()
+        {
+            return None;
+        }
         let mut members: Vec<Vec<u32>> = vec![Vec::new(); buckets];
         for (row, &bucket) in assignments.iter().enumerate() {
             if bucket as usize >= buckets {
@@ -392,15 +425,61 @@ impl BucketIndex {
             }
             members[bucket as usize].push(row as u32);
         }
-        let stats = compute_stats(&centroids, &radii, assignments.len(), backend, INDEX_SEED);
-        Some(BucketIndex {
-            centroids,
-            radii,
-            members,
-            assignments,
-            dirty,
-            stats,
-        })
+        Some(
+            BucketIndex {
+                centroids,
+                radii,
+                members,
+                assignments,
+                dirty,
+                stats: IndexStats::default(),
+            }
+            .with_stats(packed, backend),
+        )
+    }
+
+    /// Fills the stats: the radius summary, and [`IndexStats::pilot_work`]
+    /// — the mean distance evaluations (centroids + rows scanned) of the
+    /// exact walk over [`PILOT_QUERIES`] pilots, each a seeded stored row
+    /// with [`PILOT_FLIPS`] seeded bit flips. Rows scanned do not depend
+    /// on the backend (abandonment never changes the walk), so neither
+    /// does the result.
+    fn with_stats(mut self, packed: &dyn RowSource, backend: &dyn DistanceBackend) -> Self {
+        let rows = self.rows();
+        self.stats = IndexStats {
+            buckets: self.buckets(),
+            rows,
+            ..IndexStats::default()
+        };
+        self.summarize_radii();
+        if rows == 0 {
+            return self;
+        }
+        let dim = self.centroids.dim();
+        let mut query = vec![0u64; packed.words_per_row()];
+        let mut work = 0usize;
+        for pilot in 0..PILOT_QUERIES as u64 {
+            let row = (splitmix64(PILOT_SEED ^ pilot) % rows as u64) as usize;
+            query.copy_from_slice(packed.row_words(row));
+            for flip in 0..PILOT_FLIPS as u64 {
+                let bit =
+                    (splitmix64(PILOT_SEED ^ (pilot << 32) ^ (flip + 1)) % dim as u64) as usize;
+                query[bit / 64] ^= 1 << (bit % 64);
+            }
+            let mut counters = ScanCounters::default();
+            self.scan_min2(
+                packed,
+                backend,
+                &query,
+                None,
+                0..rows,
+                None,
+                Some(&mut counters),
+            );
+            work += self.buckets() + counters.rows_scanned as usize;
+        }
+        self.stats.pilot_work = work.div_ceil(PILOT_QUERIES);
+        self
     }
 
     /// Number of buckets, `B`.
@@ -439,7 +518,7 @@ impl BucketIndex {
         self.assignments[row] as usize
     }
 
-    /// Shape summary (radii/separation) — what
+    /// Shape summary (radii, pilot work) — what
     /// [`ScanStrategy::Auto`](super::ScanStrategy::Auto) reads.
     pub fn stats(&self) -> IndexStats {
         self.stats
@@ -500,6 +579,11 @@ impl BucketIndex {
         self.radii[bucket] = self.radii[bucket].max(distance);
         self.dirty += 1;
         self.stats.rows = self.assignments.len();
+        self.summarize_radii();
+    }
+
+    /// Refreshes the radius fields of the stats.
+    fn summarize_radii(&mut self) {
         self.stats.max_radius = self.radii.iter().copied().max().unwrap_or(0);
         self.stats.mean_radius = match self.radii.len() {
             0 => 0,
@@ -828,58 +912,36 @@ impl BucketIndex {
     }
 }
 
-/// Radius and separation summary of a centroid set. Separation samples
-/// seeded pairs past [`SEPARATION_PAIR_BUDGET`] so stats stay cheap at
-/// any `B`.
-fn compute_stats(
-    centroids: &PackedRows,
-    radii: &[usize],
-    rows: usize,
-    backend: &dyn DistanceBackend,
-    seed: u64,
-) -> IndexStats {
-    let buckets = centroids.len();
-    let distance = |i: usize, j: usize| -> u64 {
-        backend
-            .bounded_distance(centroids.row_words(i), centroids.row_words(j), usize::MAX)
-            .expect("unbounded distance never abandons") as u64
-    };
-    let mut total = 0u64;
-    let mut pairs = 0u64;
-    if buckets >= 2 {
-        let all = buckets * (buckets - 1) / 2;
-        if all <= SEPARATION_PAIR_BUDGET {
-            for i in 0..buckets {
-                for j in i + 1..buckets {
-                    total += distance(i, j);
-                    pairs += 1;
+/// Farthest-first (k-center greedy) selection of up to `target` medoids
+/// from `pool`: the first pool row, then repeatedly the row farthest from
+/// every medoid picked so far (ties to the lowest row). Stops early once
+/// every pool row coincides with a medoid.
+fn farthest_first(pool: &PackedRows, target: usize, backend: &dyn DistanceBackend) -> PackedRows {
+    let mut medoids = PackedRows::with_capacity(pool.dim(), target);
+    let mut gap = vec![usize::MAX; pool.len()];
+    let mut next = 0usize;
+    while medoids.len() < target {
+        let medoid = pool.row_words(next);
+        medoids.push(medoid);
+        let mut farthest = (0usize, 0usize);
+        for (row_id, row) in pool.iter_rows().enumerate() {
+            // Only a strictly smaller distance moves the gap, so the
+            // backend may abandon at `gap - 1`.
+            if gap[row_id] > 0 {
+                if let Some(distance) = backend.bounded_distance(row, medoid, gap[row_id] - 1) {
+                    gap[row_id] = gap[row_id].min(distance);
                 }
             }
-        } else {
-            for k in 0..SEPARATION_PAIR_BUDGET as u64 {
-                let i = (splitmix64(seed ^ 0x5345_5041 ^ (k << 1)) % buckets as u64) as usize;
-                let mut j = (splitmix64(seed ^ 0x5345_5042 ^ (k << 1)) % buckets as u64) as usize;
-                if i == j {
-                    j = (j + 1) % buckets;
-                }
-                total += distance(i, j);
-                pairs += 1;
+            if gap[row_id] > farthest.0 {
+                farthest = (gap[row_id], row_id);
             }
         }
+        if farthest.0 == 0 {
+            break;
+        }
+        next = farthest.1;
     }
-    IndexStats {
-        buckets,
-        rows,
-        mean_radius: match radii.len() {
-            0 => 0,
-            n => radii.iter().sum::<usize>() / n,
-        },
-        max_radius: radii.iter().copied().max().unwrap_or(0),
-        mean_separation: match pairs {
-            0 => 0,
-            p => (total / p) as usize,
-        },
-    }
+    medoids
 }
 
 #[cfg(test)]
@@ -1155,10 +1217,11 @@ mod tests {
             index.radii().to_vec(),
             index.assignments().to_vec(),
             index.dirty(),
+            &packed,
             backend,
         )
         .unwrap();
-        assert_eq!(rebuilt, index);
+        assert_eq!(rebuilt, index, "pilot work included");
 
         // Assignment past the bucket count.
         let mut bad = index.assignments().to_vec();
@@ -1168,6 +1231,7 @@ mod tests {
             index.radii().to_vec(),
             bad,
             0,
+            &packed,
             backend,
         )
         .is_none());
@@ -1179,6 +1243,7 @@ mod tests {
             bad_radii,
             index.assignments().to_vec(),
             0,
+            &packed,
             backend,
         )
         .is_none());
@@ -1188,13 +1253,26 @@ mod tests {
             vec![0; index.buckets() + 1],
             index.assignments().to_vec(),
             0,
+            &packed,
+            backend,
+        )
+        .is_none());
+        // Parts that do not cover the rows they are attached to.
+        let shorter = clustered(300, 29, 3, 5);
+        assert!(BucketIndex::from_parts(
+            index.centroids().clone(),
+            index.radii().to_vec(),
+            index.assignments().to_vec(),
+            0,
+            &shorter,
             backend,
         )
         .is_none());
     }
 
     #[test]
-    fn stats_separate_clustered_from_uniform() {
+    fn pilot_work_separates_clustered_from_uniform() {
+        use super::super::{ResolvedScan, ScanStrategy, AUTO_INDEXED_MAX_WORK};
         let backend = active_backend();
         let dim = 2048;
         let clustered = clustered(dim, 256, 4, 2);
@@ -1202,15 +1280,71 @@ mod tests {
         let ci = BucketIndex::build(&clustered, backend, IndexBuildOptions::default()).unwrap();
         let ui = BucketIndex::build(&uniform, backend, IndexBuildOptions::default()).unwrap();
         assert!(
-            ci.stats().pruning_friendly(dim),
-            "clustered stats should be pruning friendly: {:?}",
+            ci.stats().pilot_work_frac() < AUTO_INDEXED_MAX_WORK,
+            "clustered pilots should walk few rows: {:?}",
             ci.stats()
         );
         assert!(
-            !ui.stats().pruning_friendly(dim),
-            "uniform stats must fall back: {:?}",
+            ui.stats().pilot_work_frac() > 1.0,
+            "uniform pilots walk every row plus the centroids: {:?}",
             ui.stats()
         );
+        assert_eq!(
+            ScanStrategy::Auto.resolve(Some(&ci)),
+            ResolvedScan::Indexed { nprobe: None }
+        );
+        assert_eq!(ScanStrategy::Auto.resolve(Some(&ui)), ResolvedScan::Direct);
+    }
+
+    #[test]
+    fn farthest_first_seeds_one_medoid_per_separated_cluster() {
+        // Eight clusters dealt round-robin with ~2% noise: eight seeds
+        // land in eight different clusters, and a build with one bucket
+        // per cluster keeps every bucket pure.
+        let backend = active_backend();
+        let packed = clustered(512, 64, 8, 2);
+        let seeds = farthest_first(&packed, 8, backend);
+        let mut hit = [false; 8];
+        for seed in seeds.iter_rows() {
+            let row = (0..packed.len())
+                .find(|&r| packed.row_words(r) == seed)
+                .unwrap();
+            assert!(!hit[row % 8], "two seeds in cluster {}", row % 8);
+            hit[row % 8] = true;
+        }
+        let options = IndexBuildOptions {
+            buckets: 8,
+            ..IndexBuildOptions::default()
+        };
+        let index = BucketIndex::build(&packed, backend, options).unwrap();
+        assert_eq!(index.buckets(), 8);
+        for bucket in 0..8 {
+            let cluster = index.members(bucket)[0] % 8;
+            assert!(index.members(bucket).iter().all(|&m| m % 8 == cluster));
+        }
+        // Duplicate rows stop the seeding early instead of picking the
+        // same medoid twice.
+        let mut twins = PackedRows::new(64);
+        for _ in 0..5 {
+            twins.push(&[0xF0F0]);
+        }
+        assert_eq!(farthest_first(&twins, 3, backend).len(), 1);
+    }
+
+    #[test]
+    fn default_bucket_count_is_the_ceiling_square_root() {
+        for (n, root) in [
+            (0, 0),
+            (1, 1),
+            (2, 2),
+            (4, 2),
+            (5, 3),
+            (512, 23),
+            (2_048, 46),
+        ] {
+            assert_eq!(ceil_sqrt(n), root, "n = {n}");
+        }
+        assert_eq!(ceil_sqrt(16_384), 128);
     }
 
     #[test]

@@ -34,8 +34,9 @@
 //!   runner-up. The sampled distance is *reused* as part of the full
 //!   distance, so no popcount work is repeated; the cascade collapses
 //!   the scan to near-window cost when memories cluster, but its extra
-//!   per-row calls and sort still lose to the direct scan on uniform
-//!   random rows — see [`ScanStrategy::Auto`] for the measured policy.
+//!   per-row calls still lose to the direct scan on uniform random
+//!   rows. It is an explicit strategy only; [`ScanStrategy::Auto`]
+//!   chooses between the direct scan and the bucket index.
 //!
 //! Every kernel here is bit-identical to the naive per-row reference for
 //! all inputs, including dimensions that are not a multiple of 64 (the
@@ -169,16 +170,13 @@ impl Min2 {
 /// results; they differ only in how much distance work they can skip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanStrategy {
-    /// Let the library pick, from the stats of the attached
-    /// [`BucketIndex`] when one is present (decision rule in DESIGN.md
-    /// §12): [`Indexed`](Self::Indexed) when the stored shape is
-    /// [`pruning_friendly`](IndexStats::pruning_friendly) (bucket
-    /// separation clearly exceeds bucket diameters, so the radius bound
-    /// actually fires), [`Cascade`](Self::Cascade) when radii are tiny
-    /// but buckets unseparated (the planted-near-duplicate shape where
-    /// the sampled prefilter wins ~1.2–1.5×, `BENCH_search.json`
-    /// `cascade`), and otherwise [`Direct`](Self::Direct) — on uniform
-    /// random rows both pruners lose to the plain fused scan.
+    /// Let the library pick from the pilot walk the attached
+    /// [`BucketIndex`] measured at build (decision rule in DESIGN.md
+    /// §12): [`Indexed`](Self::Indexed) when one exact indexed query
+    /// costs less than [`AUTO_INDEXED_MAX_WORK`] of a direct scan's
+    /// distance work ([`IndexStats::pilot_work_frac`]), otherwise
+    /// [`Direct`](Self::Direct) — on uniform random rows the radius
+    /// bound never fires and the walk only adds the centroid scan.
     /// Without an index it is always the direct scan.
     #[default]
     Auto,
@@ -210,10 +208,10 @@ pub enum ScanStrategy {
 /// A [`ScanStrategy`] resolved against the presence (and stats) of a
 /// [`BucketIndex`] — the concrete traversal a planned scan will run.
 ///
-/// [`ScanStrategy::resolve`] is the one place the `Auto` decision rule
-/// lives; exposing the resolved form lets callers (telemetry, workload
-/// reports, regression tests) observe *which* engine `Auto` picked
-/// without re-deriving the rule.
+/// [`ScanStrategy::resolve_full`] is the one place the `Auto` decision
+/// rule lives; exposing the resolved form lets callers (telemetry,
+/// workload reports, regression tests) observe *which* engine `Auto`
+/// picked without re-deriving the rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResolvedScan {
     /// One bounded-distance pass per row in index order.
@@ -234,30 +232,21 @@ pub enum ResolvedScan {
 impl ScanStrategy {
     /// Resolves this strategy against an optional attached index into
     /// the concrete traversal a planned scan will run, applying the
-    /// `Auto` decision rule (DESIGN.md §16) when applicable:
-    /// [`ResolvedScan::Indexed`] when the stored shape is
-    /// [`pruning_friendly`](IndexStats::pruning_friendly),
-    /// [`ResolvedScan::Cascade`] when it is
-    /// [`cascade_friendly`](IndexStats::cascade_friendly), and
-    /// [`ResolvedScan::Direct`] otherwise.
-    pub fn resolve(self, index: Option<&BucketIndex>, dim: usize) -> ResolvedScan {
-        self.resolve_full(index, None, dim)
+    /// `Auto` decision rule (DESIGN.md §12) when applicable:
+    /// [`ResolvedScan::Indexed`] when the index's pilot work is below
+    /// [`AUTO_INDEXED_MAX_WORK`], [`ResolvedScan::Direct`] otherwise.
+    pub fn resolve(self, index: Option<&BucketIndex>) -> ResolvedScan {
+        self.resolve_full(index, None)
     }
 
     /// [`resolve`](Self::resolve) made aware of an attached
-    /// [`BitSlicedRows`] mirror. [`BitSliced`](Self::BitSliced) without
+    /// [`BitSlicedRows`] mirror: [`BitSliced`](Self::BitSliced) without
     /// a mirror falls back to the direct scan (like `Indexed` without
-    /// an index), and `Auto` extends its rule (DESIGN.md §17): on
-    /// cascade-friendly geometry with a mirror attached and at least
-    /// [`BITSLICED_MIN_ROWS`] rows, the columnwise group bound prunes
-    /// whole near-duplicate clusters after a handful of word-columns
-    /// and overtakes the sampled cascade; below the row floor the
-    /// per-group fixed costs do not amortize.
+    /// an index). `Auto` never picks the mirror.
     pub fn resolve_full(
         self,
         index: Option<&BucketIndex>,
         sliced: Option<&BitSlicedRows>,
-        dim: usize,
     ) -> ResolvedScan {
         match self {
             ScanStrategy::Direct => ResolvedScan::Direct,
@@ -277,24 +266,28 @@ impl ScanStrategy {
                 None => ResolvedScan::Direct,
             },
             ScanStrategy::Auto => match index {
-                Some(ix) if ix.stats().pruning_friendly(dim) => {
+                Some(ix) if ix.stats().pilot_work_frac() < AUTO_INDEXED_MAX_WORK => {
                     ResolvedScan::Indexed { nprobe: None }
                 }
-                Some(ix) if ix.stats().cascade_friendly(dim) => match sliced {
-                    Some(sliced) if sliced.len() >= BITSLICED_MIN_ROWS => ResolvedScan::BitSliced,
-                    _ => ResolvedScan::Cascade,
-                },
                 _ => ResolvedScan::Direct,
             },
         }
     }
 }
 
-/// Row floor under which [`ScanStrategy::Auto`] will not pick the
-/// bit-sliced scan: with few rows the per-group accumulator and
-/// extraction overheads dominate whatever the group bound prunes
-/// (measured crossover in `BENCH_search.json` `bitsliced_scaling`).
-pub const BITSLICED_MIN_ROWS: usize = 4_096;
+/// Pilot work fraction ([`IndexStats::pilot_work_frac`]) under which
+/// [`ScanStrategy::Auto`] takes the exact bucket walk over the direct
+/// scan.
+///
+/// The nearest-row walk is the binding case: the ranked direct scan
+/// sorts all `C` distances, so indexed top-k crosses over later. Timed
+/// against the direct scan on near-duplicate clusters at C = 2,048 and
+/// 16,384, D = 8,192 (AVX-512, 2 threads), the indexed nearest-row walk
+/// wins 40× at 0.016, 13× at 0.09, 2.4× at 0.36, 1.4–1.6× at 0.53–0.57
+/// and 1.1× at 0.60, and loses (0.64–0.77×) near 1.0 — a crossover
+/// between 0.6 and 1.0. The constant sits below it, so `Auto` never
+/// picks a walk slower than the scan it replaces.
+pub const AUTO_INDEXED_MAX_WORK: f64 = 0.5;
 
 /// Rows the bit-sliced planned scan samples row-major to seed the
 /// group-pruning bound before the columnwise pass. Without a seed the
@@ -309,15 +302,6 @@ const BITSLICED_PILOT_SAMPLES: usize = 256;
 /// Range floor for the pilot: below this the sample would be a large
 /// fraction of the rows and the seed cannot pay for itself.
 const BITSLICED_PILOT_MIN_ROWS: usize = 2_048;
-
-fn resolve_scan(
-    strategy: ScanStrategy,
-    index: Option<&BucketIndex>,
-    sliced: Option<&BitSlicedRows>,
-    dim: usize,
-) -> ResolvedScan {
-    strategy.resolve_full(index, sliced, dim)
-}
 
 /// Sampled window target: `words_per_row / 4`, at least 16 words.
 const CASCADE_WINDOW_DENOM: usize = 4;
@@ -595,8 +579,7 @@ impl PackedRows {
     /// so an abandoned row's final distance provably exceeds the final
     /// runner-up — abandonment can change neither the winner, nor the
     /// runner-up, nor either reported distance. Ties resolve to the
-    /// lowest row index. Large matrices additionally route through the
-    /// exact sampled-prefilter cascade ([`ScanStrategy::Auto`]).
+    /// lowest row index.
     ///
     /// Returns `None` when the matrix is empty.
     ///
@@ -765,7 +748,7 @@ impl PackedRows {
                 "bit-sliced mirror width mismatch"
             );
         }
-        match resolve_scan(strategy, index, sliced, self.dim) {
+        match strategy.resolve_full(index, sliced) {
             ResolvedScan::Direct => {
                 if let Some(counters) = counters.as_deref_mut() {
                     counters.rows_scanned += range.len() as u64;
@@ -893,7 +876,7 @@ impl PackedRows {
                 "bit-sliced mirror width mismatch"
             );
         }
-        match resolve_scan(strategy, index, sliced, self.dim) {
+        match strategy.resolve_full(index, sliced) {
             ResolvedScan::Indexed { nprobe } => {
                 let index = index.expect("resolved Indexed implies an index");
                 index.top_k_into(self, backend, query, range, k, nprobe, counters, ranked);
@@ -908,7 +891,7 @@ impl PackedRows {
                         counters.rows_scanned += range.len() as u64;
                     }
                 }
-                self.top_k_range_into(query, range, k, ranked);
+                self.top_k_direct_into(backend, query, range, k, ranked);
             }
         }
     }
@@ -955,13 +938,25 @@ impl PackedRows {
         k: usize,
         ranked: &mut Vec<(usize, usize)>,
     ) {
+        self.top_k_direct_into(active_backend(), query, range, k, ranked);
+    }
+
+    /// [`top_k_range_into`](Self::top_k_range_into) through an explicit
+    /// backend — the direct ranking of the planned top-k scans.
+    fn top_k_direct_into(
+        &self,
+        backend: &dyn DistanceBackend,
+        query: &[u64],
+        range: std::ops::Range<usize>,
+        k: usize,
+        ranked: &mut Vec<(usize, usize)>,
+    ) {
         assert_eq!(query.len(), self.words_per_row, "query word count mismatch");
         assert!(range.end <= self.rows, "row range out of bounds");
         ranked.clear();
         if k == 0 || range.is_empty() {
             return;
         }
-        let backend = active_backend();
         let start = range.start;
         ranked.extend(
             self.words[start * self.words_per_row..range.end * self.words_per_row]
@@ -1597,13 +1592,10 @@ mod tests {
         );
         // Resolution is observable, and without a mirror it falls back.
         assert_eq!(
-            ScanStrategy::BitSliced.resolve_full(None, Some(&sliced), d),
+            ScanStrategy::BitSliced.resolve_full(None, Some(&sliced)),
             ResolvedScan::BitSliced
         );
-        assert_eq!(
-            ScanStrategy::BitSliced.resolve(None, d),
-            ResolvedScan::Direct
-        );
+        assert_eq!(ScanStrategy::BitSliced.resolve(None), ResolvedScan::Direct);
         // Ranked form matches the row-major ranking.
         let mut ranked = Vec::new();
         packed.top_k_planned_sliced(
@@ -1621,49 +1613,93 @@ mod tests {
     }
 
     #[test]
-    fn auto_picks_bitsliced_only_with_mirror_rows_and_geometry() {
-        // A real cascade-friendly world at the row floor: tight planted
-        // clusters (radius ~1 bit) whose centers sit well inside the
-        // triangle bound's dim/16 margin. The Auto cascade branch must
-        // upgrade to BitSliced only when a mirror is attached AND the
-        // row floor is met.
+    fn auto_follows_the_pilot_work_and_never_picks_the_mirror() {
+        // Tight planted clusters (radius ~1 bit) whose centers sit a few
+        // dozen bits apart: the exact walk touches one bucket per query,
+        // so the pilot work is a few percent of the rows and Auto takes
+        // the index — with or without a bit-sliced mirror attached.
         let d = 1_024;
         let base = pseudo_bits(d, 1);
-        let mut rows: Vec<BitVec> = Vec::with_capacity(BITSLICED_MIN_ROWS);
-        for i in 0..BITSLICED_MIN_ROWS {
-            let cluster = i % 61;
-            let mut row = base.clone();
-            for f in 0..24 {
-                row.flip((cluster * 97 + f * 41) % d);
-            }
-            row.flip((i * 31) % d);
-            rows.push(row);
-        }
+        let rows: Vec<BitVec> = (0..4_096)
+            .map(|i| {
+                let cluster = i % 61;
+                let mut row = base.clone();
+                for f in 0..24 {
+                    row.flip((cluster * 97 + f * 41) % d);
+                }
+                row.flip((i * 31) % d);
+                row
+            })
+            .collect();
         let packed = packed_from(&rows);
         let index =
             BucketIndex::build(&packed, &scalar::Scalar, IndexBuildOptions::default()).unwrap();
         let stats = index.stats();
         assert!(
-            stats.cascade_friendly(d) && !stats.pruning_friendly(d),
+            stats.pilot_work_frac() < AUTO_INDEXED_MAX_WORK,
             "stats = {stats:?}"
         );
         let mirror = BitSlicedRows::from_packed(&packed);
-        let small = packed_from(&rows[..64]);
-        let small_mirror = BitSlicedRows::from_packed(&small);
+        let indexed = ResolvedScan::Indexed { nprobe: None };
+        assert_eq!(ScanStrategy::Auto.resolve(Some(&index)), indexed);
         assert_eq!(
-            ScanStrategy::Auto.resolve_full(Some(&index), Some(&mirror), d),
+            ScanStrategy::Auto.resolve_full(Some(&index), Some(&mirror)),
+            indexed,
+            "a mirror is only ever used on request"
+        );
+        assert_eq!(
+            ScanStrategy::BitSliced.resolve_full(Some(&index), Some(&mirror)),
             ResolvedScan::BitSliced
         );
         assert_eq!(
-            ScanStrategy::Auto.resolve_full(Some(&index), None, d),
-            ResolvedScan::Cascade,
-            "no mirror: the cascade keeps the cascade-friendly branch"
+            ScanStrategy::Cascade.resolve(Some(&index)),
+            ResolvedScan::Cascade
+        );
+        // The walk Auto picked answers exactly like the direct scan.
+        let query = rows[123].as_words();
+        let mut auto_ranked = Vec::new();
+        packed.top_k_planned(
+            &scalar::Scalar,
+            ScanStrategy::Auto,
+            Some(&index),
+            query,
+            0..rows.len(),
+            5,
+            &mut auto_ranked,
+            None,
+        );
+        assert_eq!(auto_ranked, packed.top_k_range(query, 0..rows.len(), 5));
+        assert_eq!(
+            packed.scan_min2_planned(
+                &scalar::Scalar,
+                ScanStrategy::Auto,
+                Some(&index),
+                query,
+                None,
+                0..rows.len(),
+                None,
+            ),
+            packed.scan_min2(query)
+        );
+
+        // Uniform random rows: every bucket spans the space, the walk
+        // costs more than the scan, and Auto stays direct.
+        let uniform: Vec<BitVec> = (0..512u64)
+            .map(|i| BitVec::from_bits((0..d as u64).map(|b| splitmix64(i << 32 ^ b) & 1 == 1)))
+            .collect();
+        let uniform = packed_from(&uniform);
+        let uniform_index =
+            BucketIndex::build(&uniform, &scalar::Scalar, IndexBuildOptions::default()).unwrap();
+        assert!(
+            uniform_index.stats().pilot_work_frac() >= AUTO_INDEXED_MAX_WORK,
+            "stats = {:?}",
+            uniform_index.stats()
         );
         assert_eq!(
-            ScanStrategy::Auto.resolve_full(Some(&index), Some(&small_mirror), d),
-            ResolvedScan::Cascade,
-            "row floor: small mirrors do not amortize the group costs"
+            ScanStrategy::Auto.resolve(Some(&uniform_index)),
+            ResolvedScan::Direct
         );
+        assert_eq!(ScanStrategy::Auto.resolve(None), ResolvedScan::Direct);
     }
 
     #[test]

@@ -11,11 +11,18 @@
 //!   distance, and runner-up for **every** enabled backend × strategy
 //!   (direct, sampled-prefilter cascade, auto) as the naive per-row
 //!   reference, on random class counts, dimensions with non-word-multiple
-//!   tails, masks, and sub-ranges.
+//!   tails, masks, and sub-ranges — and on one large planted shape with
+//!   an index and a bit-sliced mirror attached, top-k included;
+//! * the routing — a planned top-k ranks through the backend it is
+//!   handed, counted by a wrapper backend.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hdc::kernel::PackedRows;
 use hdc::prelude::*;
-use hdc::{enabled_backends, DistanceBackend, ScanStrategy};
+use hdc::{
+    enabled_backends, BitSlicedRows, BucketIndex, DistanceBackend, IndexBuildOptions, ScanStrategy,
+};
 use proptest::prelude::*;
 
 /// The seed's naive word-wise zip kernel — the reference implementation.
@@ -224,12 +231,15 @@ proptest! {
     }
 }
 
-/// The cascade's auto threshold is 128 rows × 32 words; drive a shape
-/// past it (with planted near-duplicates so pruning actually fires) and
-/// hold every backend × strategy to the naive reference. Deterministic —
-/// proptest shrinking on a 160×2500 memory would be slow for no gain.
+/// A large planted shape (160 × 2,500 bits, four near-duplicates of the
+/// query among random rows, so pruning and abandonment actually fire),
+/// with a bucket index and a bit-sliced mirror attached: every backend ×
+/// strategy — `Auto` resolving against the index included — must match
+/// the naive reference on both the nearest-row scan and the top-k
+/// ranking. Deterministic — proptest shrinking on this memory would be
+/// slow for no gain.
 #[test]
-fn large_auto_cascade_shape_matches_the_naive_scan() {
+fn large_planted_shape_matches_the_naive_scan_on_every_backend_and_strategy() {
     let d = 2_500usize;
     let dim = Dimension::new(d).unwrap();
     let base = Hypervector::random(dim, 77);
@@ -252,10 +262,28 @@ fn large_auto_cascade_shape_matches_the_naive_scan() {
         .map(|r| naive_hamming(packed.row_words(r), query))
         .collect();
     let (best, best_distance, runner_up) = naive_min2(&naive);
+    let mut naive_ranked: Vec<(usize, usize)> = naive.iter().copied().enumerate().collect();
+    naive_ranked.sort_by_key(|&(row, distance)| (distance, row));
+    naive_ranked.truncate(5);
+    let sliced = BitSlicedRows::from_packed(&packed);
     for backend in enabled_backends() {
-        for strategy in STRATEGIES {
+        let index = BucketIndex::build(&packed, backend, IndexBuildOptions::default()).unwrap();
+        for strategy in STRATEGIES
+            .into_iter()
+            .chain([ScanStrategy::Indexed, ScanStrategy::BitSliced])
+        {
             let hit = packed
-                .scan_min2_with(backend, strategy, query, None, 0..160)
+                .scan_min2_planned_sliced(
+                    backend,
+                    strategy,
+                    Some(&index),
+                    Some(&sliced),
+                    query,
+                    None,
+                    0..160,
+                    None,
+                    None,
+                )
                 .unwrap();
             assert_eq!(
                 (hit.best, hit.best_distance, hit.runner_up),
@@ -264,6 +292,112 @@ fn large_auto_cascade_shape_matches_the_naive_scan() {
                 backend.name(),
                 strategy
             );
+            let mut ranked = Vec::new();
+            packed.top_k_planned_sliced(
+                backend,
+                strategy,
+                Some(&index),
+                Some(&sliced),
+                query,
+                0..160,
+                5,
+                &mut ranked,
+                None,
+            );
+            assert_eq!(
+                ranked,
+                naive_ranked,
+                "top-k {} {:?}",
+                backend.name(),
+                strategy
+            );
         }
+    }
+}
+
+/// Wraps a backend and counts every distance call routed through it.
+#[derive(Debug)]
+struct Counting {
+    inner: &'static dyn DistanceBackend,
+    calls: AtomicUsize,
+}
+
+impl DistanceBackend for Counting {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn bounded_distance(&self, a: &[u64], b: &[u64], bound: usize) -> Option<usize> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.bounded_distance(a, b, bound)
+    }
+
+    fn bounded_distance_masked(
+        &self,
+        a: &[u64],
+        b: &[u64],
+        mask: &[u64],
+        bound: usize,
+    ) -> Option<usize> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.bounded_distance_masked(a, b, mask, bound)
+    }
+}
+
+/// The planned top-k scans must rank through the backend they are
+/// handed, not the process-wide one — otherwise every "backend × top-k"
+/// equivalence cell silently tests the detected backend under each
+/// backend's name. The direct ranking (also what the cascade ranks
+/// with) scores each row of the range exactly once.
+#[test]
+fn planned_top_k_ranks_through_the_given_backend() {
+    let (packed, query) = packed_memory(37, 700, 5, true);
+    for inner in enabled_backends() {
+        for strategy in [
+            ScanStrategy::Direct,
+            ScanStrategy::Cascade,
+            ScanStrategy::Auto,
+        ] {
+            let counting = Counting {
+                inner,
+                calls: AtomicUsize::new(0),
+            };
+            let mut ranked = Vec::new();
+            packed.top_k_planned(
+                &counting,
+                strategy,
+                None,
+                &query,
+                3..30,
+                4,
+                &mut ranked,
+                None,
+            );
+            assert_eq!(ranked, packed.top_k_range(&query, 3..30, 4));
+            assert_eq!(
+                counting.calls.load(Ordering::Relaxed),
+                27,
+                "{} {strategy:?}",
+                inner.name()
+            );
+        }
+        let counting = Counting {
+            inner,
+            calls: AtomicUsize::new(0),
+        };
+        let index = BucketIndex::build(&packed, inner, IndexBuildOptions::default()).unwrap();
+        let mut ranked = Vec::new();
+        packed.top_k_planned(
+            &counting,
+            ScanStrategy::Indexed,
+            Some(&index),
+            &query,
+            0..37,
+            4,
+            &mut ranked,
+            None,
+        );
+        assert_eq!(ranked, packed.top_k_range(&query, 0..37, 4));
+        assert!(counting.calls.load(Ordering::Relaxed) >= index.buckets());
     }
 }

@@ -1,7 +1,9 @@
 //! End-to-end loopback integration: a real TCP server, real clients,
 //! and the acceptance criteria of the serving front end —
 //! wire-to-engine correctness, deadline propagation, tenant isolation,
-//! drain with zero leaked threads, and bit-identical warm restart.
+//! drain, and bit-identical warm restart. The zero-leaked-threads drain
+//! check lives in `drain.rs`, a test binary of its own, because it
+//! counts every thread of the process.
 
 use std::time::Duration;
 
@@ -28,14 +30,6 @@ fn spec(tenant: u16, classes: usize, dim: usize, seed: u64) -> TenantSpec {
         DesignKind::Digital,
         random_memory(classes, dim, seed),
     )
-}
-
-/// Live threads of this process, from /proc — the ground truth for the
-/// zero-orphan drain guarantee.
-fn live_threads() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .map(|entries| entries.count())
-        .unwrap_or(0)
 }
 
 #[test]
@@ -181,56 +175,6 @@ fn noisy_tenant_sheds_while_quiet_tenant_completes() {
     assert_eq!(quiet_stats.completed, 20);
     assert_eq!(quiet_stats.quota_rejected, 0);
     server.drain();
-}
-
-#[test]
-fn drain_rejects_new_work_joins_every_thread_and_reports_it() {
-    let before = live_threads();
-    let server = Server::start(test_config(), vec![spec(4, 6, 512, 54)]).unwrap();
-    let memory = random_memory(6, 512, 54);
-
-    // Touch the server so connection threads exist, and keep the
-    // clients alive across the drain (their sockets will be forced).
-    let mut clients: Vec<HamClient> = (0..3)
-        .map(|_| HamClient::connect(server.local_addr(), CLIENT_TIMEOUT).unwrap())
-        .collect();
-    for client in &mut clients {
-        let query = vec![memory.row(ClassId(1)).unwrap().clone()];
-        assert_eq!(
-            client
-                .request(4, PRIORITY_NORMAL, None, &query)
-                .unwrap()
-                .status,
-            STATUS_OK
-        );
-    }
-
-    let addr = server.local_addr();
-    let report = server.drain();
-    assert_eq!(report.accept_loops_joined, 2);
-    assert_eq!(report.connection_threads_joined, 3);
-    assert_eq!(
-        report.connections_at_drain,
-        report.drained_gracefully + report.forced_shutdowns
-    );
-
-    // Post-drain: the port no longer accepts (allow the OS a moment).
-    std::thread::sleep(Duration::from_millis(50));
-    assert!(HamClient::connect(addr, Duration::from_millis(200)).is_err());
-
-    // Zero orphans: thread count is back to the pre-server baseline.
-    for _ in 0..50 {
-        if live_threads() <= before {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(
-        live_threads() <= before,
-        "drain leaked threads: {} before, {} after",
-        before,
-        live_threads()
-    );
 }
 
 #[test]

@@ -13,10 +13,9 @@
 //!   weighted and majority-binarized accuracy *is* the multi-bit story.
 //! * **Near-duplicate similarity search** ([`neardup::NearDupWorkload`]) —
 //!   the RRAM in-memory similarity-search shape: a planted-near-duplicate
-//!   stream scored on recall@k, whose index stats are exactly the
-//!   [`cascade_friendly`](hdc::IndexStats::cascade_friendly) geometry
-//!   [`ScanStrategy::Auto`](hdc::ScanStrategy) selects the sampled
-//!   cascade for.
+//!   stream scored on recall@k, whose clusters the index build recovers
+//!   one per bucket, so [`ScanStrategy::Auto`](hdc::ScanStrategy)
+//!   resolves to the exact indexed walk.
 //!
 //! All three scenarios (langid included, refactored behind the trait in
 //! [`langid_workload::LangidWorkload`]) implement one seeded,

@@ -3,26 +3,18 @@
 //! smaller perturbations and scored on recall@k — the RRAM in-memory
 //! similarity-search shape.
 //!
-//! The stored geometry is deliberately the one the sampled cascade was
-//! built for and the bucket index's triangle bound is useless on:
-//! cluster radii are a few dozen bits (far under the `dim / 32`
-//! ceiling), but the cluster centers sit within a few hundred bits of a
-//! common base — well inside the `dim / 16` margin the triangle bound
-//! needs. That is exactly [`IndexStats::cascade_friendly`] — and *not*
-//! [`pruning_friendly`](IndexStats::pruning_friendly) — so
-//! [`ScanStrategy::Auto`] resolves to the cascade here, which is the
-//! measured decision `BENCH_workloads.json` pins (Auto ≡ Cascade and
-//! faster than Direct on this stream).
+//! Cluster radii are a few dozen bits while cluster centers sit a few
+//! hundred bits apart (around a common base), so a query's own cluster
+//! is far nearer than any other. The default index build recovers one
+//! bucket per cluster (farthest-first seeding over a seeded row sample),
+//! the exact bucket walk then scans the centroids plus the query's own
+//! bucket, and the build's pilot walk measures that as a few percent of
+//! the rows ([`IndexStats::pilot_work_frac`]) — so
+//! [`ScanStrategy::Auto`] resolves to the indexed walk here.
 //!
-//! Why the cascade wins here: a query lands inside one cluster, so the
-//! runner-up distance collapses to an intra-cluster gap (a few dozen
-//! bits) while every other cluster's rows sit hundreds of bits away.
-//! Their sampled lower bound alone exceeds the runner-up, so pass 2
-//! skips ~`(clusters − 1) / clusters` of all complement work. The
-//! direct scan gets no such leverage: its abandonment bound is only
-//! checked every 128 words (AVX-512), and at the default `dim = 8192`
-//! a row is exactly 128 words — the direct scan pays the full row for
-//! every candidate, always.
+//! Rows are dealt to clusters round-robin, so any strided row sample
+//! aliases with the cluster count; the index build samples without a
+//! stride for exactly this reason.
 
 use hdc::prelude::*;
 use hdc::{IndexBuildOptions, IndexStats};
@@ -40,14 +32,12 @@ pub struct NearDupParams {
     pub rows: usize,
     /// Tight clusters the rows split into, round-robin. Keep this near
     /// `⌈√rows⌉` so the default index build (one bucket per `√rows`)
-    /// recovers one cluster per bucket and the stats read the true
-    /// geometry.
+    /// recovers one cluster per bucket.
     pub clusters: usize,
     /// Bits flipped from the common base to each cluster center. Sets
-    /// the inter-cluster spacing (~`2 × center_flips` bits): large
-    /// enough that foreign clusters' sampled bounds clear the
-    /// runner-up, small enough to stay inside the triangle bound's
-    /// `dim / 16` separation margin.
+    /// the inter-cluster spacing (~`2 × center_flips` bits), far above
+    /// the cluster radii, so the triangle bound prunes every foreign
+    /// bucket.
     pub center_flips: usize,
     /// Largest perturbation of a stored row from its cluster center;
     /// row `i` flips `4 + (i mod max_row_flips)` bits, so duplicates
@@ -62,12 +52,11 @@ pub struct NearDupParams {
 
 impl Default for NearDupParams {
     /// The bench operating point: 512 rows in 23 clusters of an
-    /// 8,192-bit space. Cluster radii stay within ~28 bits (far under
-    /// the `dim / 32 = 256` cascade-friendly ceiling) while centers sit
-    /// ~384 bits apart (inside the `dim / 16 = 512` triangle-bound
-    /// margin, so pruning stays off). At 8,192 bits a row is exactly
-    /// 128 words — the AVX-512 direct scan's bound-check stride — so
-    /// direct pays full rows while the cascade samples 32.
+    /// 8,192-bit space. Cluster radii stay within ~20 bits while
+    /// centers sit ~384 bits apart, so the exact walk scans the
+    /// centroids and one bucket. At 8,192 bits a row is exactly 128
+    /// words — the AVX-512 direct scan's bound-check stride — so the
+    /// direct scan pays full rows for every candidate.
     fn default() -> Self {
         NearDupParams {
             dim: 8_192,
@@ -148,7 +137,7 @@ impl NearDupWorkload {
         }
     }
 
-    /// The stats of the index the `Auto` decision reads.
+    /// The stats of the index the `Auto` decision reads (its pilot work).
     pub fn index_stats(&self) -> IndexStats {
         self.stats
     }
@@ -194,16 +183,54 @@ impl Workload for NearDupWorkload {
 mod tests {
     use super::*;
     use crate::run_local;
+    use hdc::kernel::AUTO_INDEXED_MAX_WORK;
     use hdc::ResolvedScan;
 
     #[test]
-    fn clusters_are_cascade_friendly_and_auto_resolves_to_cascade() {
+    fn clusters_are_recovered_and_auto_resolves_to_indexed() {
         let w = NearDupWorkload::build(NearDupParams::default(), 5);
         let stats = w.index_stats();
-        let dim = w.params().dim;
-        assert!(stats.cascade_friendly(dim), "stats = {stats:?}");
-        assert!(!stats.pruning_friendly(dim), "stats = {stats:?}");
-        assert_eq!(w.resolved_strategy(), ResolvedScan::Cascade);
+        assert_eq!(stats.buckets, w.params().clusters, "stats = {stats:?}");
+        assert!(
+            stats.pilot_work_frac() < AUTO_INDEXED_MAX_WORK,
+            "stats = {stats:?}"
+        );
+        assert_eq!(
+            w.resolved_strategy(),
+            ResolvedScan::Indexed { nprobe: None }
+        );
+    }
+
+    #[test]
+    fn index_recovers_one_bucket_per_cluster_where_a_stride_aliases() {
+        // 4,096 rows in 64 round-robin clusters: B = 64 and 2,048 sample
+        // rows, so a stride-2 sample would only ever see the even
+        // clusters. The build must still give every cluster its own
+        // bucket, with radii inside the planted row noise.
+        let params = NearDupParams {
+            rows: 4_096,
+            clusters: 64,
+            ..NearDupParams::default()
+        };
+        let w = NearDupWorkload::build(params, 9);
+        let index = w.memory().index().expect("built at construction");
+        assert_eq!(index.buckets(), params.clusters);
+        for bucket in 0..index.buckets() {
+            let members = index.members(bucket);
+            let cluster = members[0] as usize % params.clusters;
+            assert!(
+                members
+                    .iter()
+                    .all(|&m| m as usize % params.clusters == cluster),
+                "bucket {bucket} mixes clusters"
+            );
+        }
+        let planted_noise = 4 + params.max_row_flips - 1;
+        assert!(
+            index.stats().max_radius <= planted_noise,
+            "stats = {:?}",
+            index.stats()
+        );
     }
 
     #[test]

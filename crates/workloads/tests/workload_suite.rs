@@ -1,17 +1,20 @@
 //! The workload-harness acceptance suite: every scenario runs through
 //! the one [`Workload`] trait end to end — local ranking, tenant
 //! provisioning, and the real TCP wire — deterministically per seed,
-//! with the `Auto` scan decision pinned on the near-duplicate geometry.
+//! with the `Auto` scan decision pinned on the near-duplicate geometry,
+//! across backends and across a warm restart.
 
 use std::time::Duration;
 
-use ham_core::resilience::PRIORITY_NORMAL;
+use ham_core::resilience::{load_snapshot, ResilientOptions, PRIORITY_NORMAL};
 use ham_serve::frame::STATUS_OK;
-use ham_serve::{HamClient, ServeConfig, Server, SlotResult};
+use ham_serve::{BootSource, HamClient, ServeConfig, Server, SlotResult, TenantState};
 use ham_workloads::neardup::{NearDupParams, NearDupWorkload};
 use ham_workloads::weighted::{WeightedParams, WeightedWorkload};
 use ham_workloads::{run_local, serve, LangidWorkload, Workload};
+use hdc::kernel::AUTO_INDEXED_MAX_WORK;
 use hdc::prelude::*;
+use hdc::{active_backend, enabled_backends, BucketIndex, IndexBuildOptions};
 
 /// Small-but-faithful operating points, sized for CI.
 fn langid() -> LangidWorkload {
@@ -91,27 +94,28 @@ fn every_workload_is_deterministic_and_meets_its_floor() {
 }
 
 #[test]
-fn auto_pins_the_cascade_on_the_near_duplicate_geometry() {
+fn auto_pins_the_indexed_walk_on_the_near_duplicate_geometry() {
     let w = neardup();
-    let dim = w.params().dim;
     let stats = w.index_stats();
-    // The regression pin: this geometry must read cascade-friendly and
-    // not pruning-friendly, and Auto must select the cascade — both at
-    // the decision-rule level and through the memory the tenant clones.
-    assert!(stats.cascade_friendly(dim), "stats = {stats:?}");
-    assert!(!stats.pruning_friendly(dim), "stats = {stats:?}");
-    assert_eq!(
-        ScanStrategy::Auto.resolve(w.memory().index(), dim),
-        ResolvedScan::Cascade
+    // The regression pin: the build recovers one bucket per cluster,
+    // its pilot walk reads well under the crossover, and Auto selects
+    // the exact indexed walk — both at the decision-rule level and
+    // through the memory the tenant clones.
+    assert_eq!(stats.buckets, w.params().clusters, "stats = {stats:?}");
+    assert!(
+        stats.pilot_work_frac() < AUTO_INDEXED_MAX_WORK,
+        "stats = {stats:?}"
     );
-    assert_eq!(w.resolved_strategy(), ResolvedScan::Cascade);
+    let indexed = ResolvedScan::Indexed { nprobe: None };
+    assert_eq!(ScanStrategy::Auto.resolve(w.memory().index()), indexed);
+    assert_eq!(w.resolved_strategy(), indexed);
     assert_eq!(
-        ScanStrategy::Direct.resolve(w.memory().index(), dim),
+        ScanStrategy::Direct.resolve(w.memory().index()),
         ResolvedScan::Direct,
         "explicit strategies must not be second-guessed"
     );
-    // The Auto-selected cascade answers bit-identically to the direct
-    // scan on the real query stream.
+    // The Auto-selected walk answers bit-identically to the direct
+    // scan on the real query stream, nearest row and top-k alike.
     let mut direct = w.memory().clone();
     direct.set_scan_strategy(ScanStrategy::Direct);
     for record in w.queries().iter().take(64) {
@@ -119,16 +123,112 @@ fn auto_pins_the_cascade_on_the_near_duplicate_geometry() {
         let via_direct = direct.search(&record.query).unwrap();
         assert_eq!(via_auto.class, via_direct.class);
         assert_eq!(via_auto.distance, via_direct.distance);
+        assert_eq!(via_auto, via_direct);
+        assert_eq!(
+            w.memory().search_top_k(&record.query, w.k()).unwrap(),
+            direct.search_top_k(&record.query, w.k()).unwrap()
+        );
     }
     // And the served row carries the decision label.
     let state = serve::provision(&w, 7).expect("tenant provisions");
     let report = serve::run_served(&w, &state).expect("tenant serves");
-    assert_eq!(report.strategy, "Cascade");
+    assert_eq!(report.strategy, "Indexed");
     assert!(
         report.accuracy > 0.98,
         "served accuracy {}",
         report.accuracy
     );
+}
+
+/// The decision is a property of the data, not of the datapath: an index
+/// built through any enabled backend measures the same pilot work, so
+/// `Auto` resolves `Indexed` on the near-duplicate geometry and `Direct`
+/// on uniform random rows whichever backend `HAM_KERNEL_BACKEND` picks.
+#[test]
+fn auto_resolves_indexed_on_near_duplicates_and_direct_on_uniform_rows() {
+    let w = neardup();
+    let dim = Dimension::new(w.params().dim).unwrap();
+    let mut uniform = AssociativeMemory::new(dim);
+    for row in 0..w.params().rows as u64 {
+        uniform
+            .insert(format!("u{row}"), Hypervector::random(dim, 0xD1CE ^ row))
+            .unwrap();
+    }
+    let cases = [
+        (
+            w.memory().packed_rows(),
+            ResolvedScan::Indexed { nprobe: None },
+        ),
+        (uniform.packed_rows(), ResolvedScan::Direct),
+    ];
+    for (packed, expected) in cases {
+        let reference =
+            BucketIndex::build(packed, active_backend(), IndexBuildOptions::default()).unwrap();
+        assert_eq!(ScanStrategy::Auto.resolve(Some(&reference)), expected);
+        for backend in enabled_backends() {
+            let index = BucketIndex::build(packed, backend, IndexBuildOptions::default()).unwrap();
+            assert_eq!(index, reference, "{} builds differently", backend.name());
+        }
+    }
+    uniform.build_index(IndexBuildOptions::default());
+    assert_eq!(uniform.resolved_strategy(), ResolvedScan::Direct);
+}
+
+/// A tenant warm-restarted from a v2 snapshot (rows plus the persisted
+/// index, no rebuild) reaches the same `Auto` decision, from the same
+/// pilot work, as the freshly built tenant it was flushed from.
+#[test]
+fn warm_restarted_tenant_resolves_the_strategy_of_a_fresh_build() {
+    let dir = std::env::temp_dir().join(format!("ham-workloads-warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let w = neardup();
+    let fresh = TenantState::provision(
+        serve::tenant_spec(&w, 9),
+        ResilientOptions::default(),
+        Some(&dir),
+    )
+    .expect("fresh tenant provisions");
+    assert_eq!(fresh.boot_source(), &BootSource::Fresh);
+    let fresh_memory = fresh.served_memory();
+    let snapshot = fresh.flush_snapshot(&dir).expect("snapshot flushes");
+    drop(fresh);
+    // The snapshot carries the index itself: the restart attaches it
+    // through `BucketIndex::from_parts`, which re-walks the pilots.
+    let loaded = load_snapshot(&snapshot).expect("snapshot loads").memory;
+    assert!(loaded.index().is_some(), "v2 snapshot persists the index");
+    assert_eq!(loaded.resolved_strategy(), fresh_memory.resolved_strategy());
+
+    let restarted = TenantState::provision(
+        serve::tenant_spec(&w, 9),
+        ResilientOptions::default(),
+        Some(&dir),
+    )
+    .expect("tenant warm-restarts");
+    assert!(
+        matches!(restarted.boot_source(), BootSource::WarmRestart { .. }),
+        "{:?}",
+        restarted.boot_source()
+    );
+    let restarted_memory = restarted.served_memory();
+    assert_eq!(
+        restarted_memory.index().map(|index| index.stats()),
+        fresh_memory.index().map(|index| index.stats())
+    );
+    assert_eq!(
+        restarted_memory.resolved_strategy(),
+        ResolvedScan::Indexed { nprobe: None }
+    );
+    assert_eq!(
+        restarted_memory.resolved_strategy(),
+        fresh_memory.resolved_strategy()
+    );
+    assert_eq!(
+        restarted.versioned().load().resolved_strategy(),
+        fresh_memory.resolved_strategy()
+    );
+    drop(restarted);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The approximate-probe operating point for the near-duplicate
